@@ -1,0 +1,5 @@
+"""DisCFS benchmark: closed-loop workloads with a traced per-layer split.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; see ``perfbench/README.md``.
+"""
