@@ -25,6 +25,9 @@ permission triple.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from itertools import count
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from repro.errors import SignatureVerificationError
@@ -38,6 +41,37 @@ RESERVED_VALUES = "_VALUES"
 RESERVED_AUTHORIZERS = "_ACTION_AUTHORIZERS"
 
 
+@dataclass(eq=False, slots=True)
+class _Entry:
+    """One added assertion, its index guard, its insertion rank and
+    whether its signature has been checked."""
+
+    assertion: Assertion
+    guard: frozenset[str] | None
+    rank: int
+    verified: bool
+
+
+@dataclass(slots=True)
+class _Bucket:
+    """One authorizer's assertions in insertion order, plus an exact index
+    of the guarded ones under each literal their guard requires."""
+
+    entries: list[_Entry] = field(default_factory=list)
+    unguarded: list[_Entry] = field(default_factory=list)
+    by_literal: dict[str | None, list[_Entry]] = field(default_factory=dict)
+
+    def candidates(self, index_value: str | None) -> list[_Entry]:
+        """The entries that can be non-minimal when the index attribute is
+        ``index_value``, in insertion order."""
+        matched = self.by_literal.get(index_value)
+        if not matched:
+            return self.unguarded
+        if not self.unguarded:
+            return matched
+        return sorted(self.unguarded + matched, key=attrgetter("rank"))
+
+
 class ComplianceChecker:
     """Evaluates queries against a set of policies and credentials.
 
@@ -47,54 +81,64 @@ class ComplianceChecker:
     excluded, matching the reference implementation's behaviour of simply
     not considering them.
 
-    ``index_attribute`` enables a sound pruning index: if every clause of
-    an assertion's Conditions *requires* ``index_attribute == "literal"``
-    as a conjunct, the assertion can only contribute when the query's
-    attribute equals one of those literals — so it is skipped otherwise
-    without evaluation.  DisCFS indexes on ``HANDLE``: a server holding
-    thousands of per-file creator credentials still evaluates only the
-    handful relevant to each request (semantics are unchanged; the skipped
-    assertions would have evaluated to the minimum value anyway).
+    ``index_attribute`` enables an exact index: if every clause of an
+    assertion's Conditions *requires* ``index_attribute == "literal"`` as
+    a conjunct, the assertion can only contribute when the query's
+    attribute equals one of those literals.  Each authorizer's assertions
+    are filed under those literals (or as unguarded), and a query visits
+    only the unguarded ones plus those filed under its own attribute
+    value, in insertion order.  DisCFS indexes on ``HANDLE``, so a query's
+    cost depends on the credentials for its handle, not on the thousands
+    of per-file creator credentials the server holds.  Results, including
+    the contributor order, are those of the unindexed checker: a skipped
+    assertion would have evaluated to the minimum value.
     """
 
     def __init__(self, verify_signatures: bool = True,
                  index_attribute: str | None = None):
         self.verify_signatures = verify_signatures
         self.index_attribute = index_attribute
-        self._assertions_by_authorizer: dict[str, list[Assertion]] = {}
-        #: assertion id -> frozenset of literals its conditions require the
-        #: index attribute to equal (absent = unguarded, always evaluated).
-        self._guards: dict[int, frozenset[str]] = {}
-        self._verified: set[int] = set()
+        self._buckets: dict[str, _Bucket] = {}
+        self._ranks = count()
 
     # -- assertion management -------------------------------------------
 
-    def add_assertion(self, assertion: Assertion) -> None:
+    def add_assertion(self, assertion: Assertion, *, verified: bool = False) -> None:
         """Add a policy or credential to the checker.
 
         Signed credentials are verified on first use (lazily) unless
-        verification is disabled.
+        verification is disabled, or the caller already verified the
+        signature and passes ``verified=True``.
         """
-        self._assertions_by_authorizer.setdefault(assertion.authorizer, []).append(
-            assertion
-        )
+        guard = None
         if self.index_attribute is not None:
             guard = _conditions_guard(assertion, self.index_attribute)
-            if guard is not None:
-                self._guards[id(assertion)] = guard
+        entry = _Entry(assertion, guard, next(self._ranks), verified)
+        bucket = self._buckets.setdefault(assertion.authorizer, _Bucket())
+        bucket.entries.append(entry)
+        if guard is None:
+            bucket.unguarded.append(entry)
+        for literal in guard or ():
+            bucket.by_literal.setdefault(literal, []).append(entry)
 
     def remove_assertion(self, assertion: Assertion) -> bool:
         """Remove a previously added assertion; returns True if found."""
-        bucket = self._assertions_by_authorizer.get(assertion.authorizer, [])
-        for i, existing in enumerate(bucket):
-            if existing is assertion:
-                del bucket[i]
-                self._guards.pop(id(assertion), None)
-                return True
-        return False
+        bucket = self._buckets.get(assertion.authorizer, _Bucket())
+        entry = next((e for e in bucket.entries if e.assertion is assertion), None)
+        if entry is None:
+            return False
+        bucket.entries.remove(entry)
+        if entry.guard is None:
+            bucket.unguarded.remove(entry)
+        for literal in entry.guard or ():
+            listed = bucket.by_literal[literal]
+            listed.remove(entry)
+            if not listed:
+                del bucket.by_literal[literal]
+        return True
 
     def assertions(self) -> list[Assertion]:
-        return [a for bucket in self._assertions_by_authorizer.values() for a in bucket]
+        return [e.assertion for bucket in self._buckets.values() for e in bucket.entries]
 
     # -- query ------------------------------------------------------------
 
@@ -144,13 +188,11 @@ class ComplianceChecker:
                 return values.minimum  # delegation cycle
             visiting.add(principal)
             best = values.minimum
-            for assertion in self._assertions_by_authorizer.get(principal, ()):
-                guard = self._guards.get(id(assertion))
-                if guard is not None and index_value not in guard:
-                    continue  # conditions can only evaluate to minimum
-                contribution = self._assertion_value(assertion, attributes, values, cv)
+            bucket = self._buckets.get(principal)
+            for entry in bucket.candidates(index_value) if bucket else ():
+                contribution = self._assertion_value(entry, attributes, values, cv)
                 if contribution != values.minimum:
-                    contributors.append(assertion)
+                    contributors.append(entry.assertion)
                 best = values.max_of(best, contribution)
                 if best == values.maximum:
                     break  # cannot improve further
@@ -167,13 +209,14 @@ class ComplianceChecker:
 
     def _assertion_value(
         self,
-        assertion: Assertion,
+        entry: _Entry,
         attributes: Mapping[str, str],
         values: ComplianceValues,
         cv,
     ) -> str:
-        if not self._credential_acceptable(assertion):
+        if not self._credential_acceptable(entry):
             return values.minimum
+        assertion = entry.assertion
         if assertion.licensees is None:
             return values.minimum  # delegates to nobody
         # Local-Constants shadow action attributes inside this assertion.
@@ -188,18 +231,15 @@ class ComplianceChecker:
         licensees_value = assertion.licensees.evaluate(cv, values)
         return values.min_of(conditions_value, licensees_value)
 
-    def _credential_acceptable(self, assertion: Assertion) -> bool:
+    def _credential_acceptable(self, entry: _Entry) -> bool:
         """Verify a credential's signature once, caching the result."""
-        if assertion.is_policy or not self.verify_signatures:
-            return True
-        key = id(assertion)
-        if key in self._verified:
+        if entry.verified or entry.assertion.is_policy or not self.verify_signatures:
             return True
         try:
-            verify_assertion(assertion)
+            verify_assertion(entry.assertion)
         except SignatureVerificationError:
             return False
-        self._verified.add(key)
+        entry.verified = True
         return True
 
 

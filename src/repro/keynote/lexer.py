@@ -49,8 +49,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             continue
         if ch == '"':
+            start = i
             literal, i = _read_string(text, i)
-            tokens.append(Token("STRING", literal, i))
+            tokens.append(Token("STRING", literal, start))
             continue
         if ch.isdigit() or (
             ch == "." and i + 1 < n and text[i + 1].isdigit()
@@ -78,7 +79,18 @@ def tokenize(text: str) -> list[Token]:
 
 
 def _read_string(text: str, i: int) -> tuple[str, int]:
-    """Read a quoted string starting at ``text[i] == '"'``."""
+    """Read a quoted string starting at ``text[i] == '"'``.
+
+    Returns the literal and the offset just past its closing quote.
+    """
+    close = text.find('"', i + 1)
+    if close != -1 and text.find("\\", i + 1, close) == -1:
+        return text[i + 1:close], close + 1  # no escapes: one slice
+    return _read_escaped_string(text, i)
+
+
+def _read_escaped_string(text: str, i: int) -> tuple[str, int]:
+    """:func:`_read_string`, decoding ``\\`` escapes one character at a time."""
     out: list[str] = []
     i += 1
     n = len(text)

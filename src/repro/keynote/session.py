@@ -23,12 +23,13 @@ class KeyNoteSession:
     Parameters
     ----------
     verify_signatures:
-        When True (default), ``add_credential`` rejects credentials whose
-        signature does not verify, and queries re-check lazily.
+        When True (default), ``add_credential`` verifies each credential's
+        signature once, at add, and rejects it if it does not verify;
+        queries never repeat the check.
     index_attribute:
-        Optional attribute name for the compliance checker's sound pruning
-        index (see :class:`~repro.keynote.compliance.ComplianceChecker`).
-        DisCFS sessions index on ``HANDLE``.
+        Optional attribute name for the compliance checker's exact index
+        (see :class:`~repro.keynote.compliance.ComplianceChecker`).  DisCFS
+        sessions index on ``HANDLE``.
     """
 
     def __init__(self, verify_signatures: bool = True,
@@ -62,9 +63,10 @@ class KeyNoteSession:
         assertion = text if isinstance(text, Assertion) else parse_assertion(text)
         if assertion.is_policy:
             raise KeyNoteError("credentials cannot be authorized by POLICY")
-        if self._checker.verify_signatures:
+        verify = self._checker.verify_signatures
+        if verify:
             verify_assertion(assertion)  # fail fast at submission time
-        self._checker.add_assertion(assertion)
+        self._checker.add_assertion(assertion, verified=verify)
         self._credentials.append(assertion)
         return assertion
 

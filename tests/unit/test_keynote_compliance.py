@@ -3,9 +3,10 @@
 import pytest
 
 from repro.crypto.keycodec import encode_public_key
+from repro.keynote import compliance
 from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.parser import parse_assertion
-from repro.keynote.signing import sign_assertion
+from repro.keynote.signing import sign_assertion, verify_assertion
 
 BOOL = ["false", "true"]
 OCTAL = ["false", "X", "W", "WX", "R", "RX", "RW", "RWX"]
@@ -152,6 +153,45 @@ class TestSignatureEnforcement:
         )
         checker.add_assertion(parse_assertion(signed))
         assert checker.query({}, ["alice"], BOOL) == "true"
+
+    def test_bad_signature_never_contributes(self, bob_key):
+        bob_id = encode_public_key(bob_key)
+        signed = sign_assertion(
+            f'Authorizer: "{bob_id}"\nLicensees: "alice"\n'
+            'Conditions: HANDLE == "7" -> "true";\n', bob_key
+        )
+        forged = parse_assertion(signed.replace('"alice"', '"eve"'))
+        checker = ComplianceChecker(verify_signatures=True, index_attribute="HANDLE")
+        checker.add_assertion(
+            parse_assertion(f'Authorizer: "POLICY"\nLicensees: "{bob_id}"\n')
+        )
+        checker.add_assertion(parse_assertion(signed))
+        checker.add_assertion(forged)
+        for _ in range(3):
+            assert checker.query_with_trace({"HANDLE": "7"}, ["eve"], BOOL) == (
+                "false", [])
+        assert checker.query({"HANDLE": "7"}, ["alice"], BOOL) == "true"
+
+    def test_direct_add_verifies_lazily_once(self, bob_key, monkeypatch):
+        bob_id = encode_public_key(bob_key)
+        calls = []
+
+        def counting(assertion):
+            calls.append(assertion)
+            verify_assertion(assertion)
+
+        monkeypatch.setattr(compliance, "verify_assertion", counting)
+        checker = ComplianceChecker(verify_signatures=True)
+        checker.add_assertion(
+            parse_assertion(f'Authorizer: "POLICY"\nLicensees: "{bob_id}"\n')
+        )
+        checker.add_assertion(parse_assertion(sign_assertion(
+            f'Authorizer: "{bob_id}"\nLicensees: "alice"\n', bob_key
+        )))
+        assert calls == []
+        for _ in range(3):
+            assert checker.query({}, ["alice"], BOOL) == "true"
+        assert len(calls) == 1
 
 
 class TestLocalConstantsInConditions:

@@ -1,9 +1,18 @@
 """Unit tests for the KeyNote expression lexer."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import AssertionSyntaxError
-from repro.keynote.lexer import Token, TokenStream, tokenize
+from repro.keynote.expr import parse_conditions
+from repro.keynote.lexer import (
+    Token,
+    TokenStream,
+    _read_escaped_string,
+    _read_string,
+    tokenize,
+)
 
 
 def kinds(text):
@@ -80,6 +89,24 @@ class TestTokenize:
         assert toks[1].position == 2
         assert toks[2].position == 5
 
+    def test_string_position_is_opening_quote(self):
+        toks = tokenize('HANDLE == "42" && x')
+        assert (toks[2].kind, toks[2].position) == ("STRING", 10)
+        assert (toks[3].value, toks[3].position) == ("&&", 15)
+        assert tokenize(r'"a\"b" "c"')[1].position == 7
+
+    def test_syntax_error_column_at_string(self):
+        with pytest.raises(AssertionSyntaxError) as info:
+            parse_conditions('HANDLE == "1" "x" -> "true";')
+        assert info.value.column == 14
+
+    def test_error_columns_unchanged(self):
+        for text, column in (('a == "open', 10), ('a == "oops\\', 10),
+                             ('"a\\"b', 5)):
+            with pytest.raises(AssertionSyntaxError) as info:
+                tokenize(text)
+            assert info.value.column == column
+
 
 class TestTokenStream:
     def test_advance_and_peek(self):
@@ -106,3 +133,21 @@ class TestTokenStream:
         for _ in range(3):
             stream.advance()
         assert stream.at_end()
+
+
+def _read_or_error(reader, text):
+    try:
+        return reader(text, 0)
+    except AssertionSyntaxError as exc:
+        return ("error", str(exc), exc.column)
+
+
+@given(body=st.text(alphabet='ab "\\\nt', max_size=12), tail=st.text(
+    alphabet='ab "\\', max_size=4))
+def test_property_fast_path_matches_escape_loop(body, tail):
+    """With or without escapes, terminated or not, the one-slice fast path
+    and the escape loop read the same literal and end offset, or raise the
+    same error at the same column."""
+    text = '"' + body + tail
+    assert _read_or_error(_read_string, text) == _read_or_error(
+        _read_escaped_string, text)

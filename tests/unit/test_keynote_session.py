@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import KeyNoteError, SignatureVerificationError
+from repro.keynote import compliance, session
 from repro.keynote.session import KeyNoteSession
-from repro.keynote.signing import sign_assertion
+from repro.keynote.signing import sign_assertion, verify_assertion
 
 
 class TestPolicyManagement:
@@ -63,6 +64,29 @@ class TestCredentialManagement:
         assert s.remove_credential(cred)
         assert s.query({}, ["alice"]) == "false"
         assert not s.remove_credential(cred)
+
+    def test_each_credential_verified_once(self, bob_key, bob_id, monkeypatch):
+        """The signature is checked at add; queries never repeat it."""
+        calls = []
+
+        def counting(assertion):
+            calls.append(assertion)
+            verify_assertion(assertion)
+
+        monkeypatch.setattr(session, "verify_assertion", counting)
+        monkeypatch.setattr(compliance, "verify_assertion", counting)
+        s = KeyNoteSession(index_attribute="HANDLE")
+        s.add_policy(f'Authorizer: "POLICY"\nLicensees: "{bob_id}"\n')
+        n = 4
+        for i in range(n):
+            s.add_credential(sign_assertion(
+                f'Authorizer: "{bob_id}"\nLicensees: "user{i}"\n'
+                f'Conditions: HANDLE == "{i}" -> "true";\n', bob_key
+            ))
+        for _ in range(2):
+            for i in range(n):
+                assert s.query({"HANDLE": str(i)}, [f"user{i}"]) == "true"
+        assert len(calls) == n
 
     def test_unverified_mode(self, bob_id):
         s = KeyNoteSession(verify_signatures=False)
