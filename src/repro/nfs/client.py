@@ -13,6 +13,9 @@ from repro.nfs.protocol import (
     MAX_DATA,
     NFS_PROGRAM,
     NFS_VERSION,
+    READ_ARGS,
+    READDIR_ARGS,
+    WRITE_ARGS,
     FAttr,
     FileHandle,
     NFSStat,
@@ -83,10 +86,7 @@ class NFSClient:
 
     def read(self, fh: FileHandle, offset: int, count: int) -> bytes:
         enc = XDREncoder()
-        pack_fhandle(enc, fh)
-        enc.pack_uint(offset)
-        enc.pack_uint(count)
-        enc.pack_uint(count)
+        enc.pack_struct(READ_ARGS, fh.ino, fh.generation, b"", offset, count, count)
         dec = self._rpc.call(Proc.READ, enc.getvalue())
         raise_for_status(dec.unpack_enum())
         unpack_fattr(dec)
@@ -99,11 +99,9 @@ class NFSClient:
             raise NFSError(NFSStat.NFSERR_INVAL,
                            f"write of {len(data)} bytes exceeds {MAX_DATA}")
         enc = XDREncoder()
-        pack_fhandle(enc, fh)
-        enc.pack_uint(0)
-        enc.pack_uint(offset)
-        enc.pack_uint(len(data))
-        enc.pack_opaque(data)
+        enc.pack_struct(WRITE_ARGS, fh.ino, fh.generation, b"", 0, offset,
+                        len(data), len(data))
+        enc.pack_fixed_opaque(data, len(data))
         dec = self._rpc.call(Proc.WRITE, enc.getvalue())
         raise_for_status(dec.unpack_enum())
         attr = unpack_fattr(dec)
@@ -182,9 +180,7 @@ class NFSClient:
                 count: int = MAX_DATA) -> tuple[list[tuple[int, str, int]], bool]:
         """One READDIR round trip: ([(fileid, name, cookie)...], eof)."""
         enc = XDREncoder()
-        pack_fhandle(enc, dir_fh)
-        enc.pack_uint(cookie)
-        enc.pack_uint(count)
+        enc.pack_struct(READDIR_ARGS, dir_fh.ino, dir_fh.generation, b"", cookie, count)
         dec = self._rpc.call(Proc.READDIR, enc.getvalue())
         raise_for_status(dec.unpack_enum())
         entries: list[tuple[int, str, int]] = []

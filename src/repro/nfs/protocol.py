@@ -129,6 +129,8 @@ _FILETYPE_TO_FTYPE = {
     FileType.SYMLINK: FType.NFLNK,
 }
 
+_FTYPES = {ftype.value: ftype for ftype in FType}
+
 _TYPE_MODE_BITS = {
     FType.NFREG: 0o100000,
     FType.NFDIR: 0o040000,
@@ -140,7 +142,16 @@ _TYPE_MODE_BITS = {
 # File handles
 # ---------------------------------------------------------------------------
 
-_FH_STRUCT = struct.Struct(">QQ16s")
+#: ino, generation, zero padding: the 32-byte handle, also the leading
+#: fields of the fixed argument records below.
+_FH_FORMAT = ">QQ16s"
+_FH_STRUCT = struct.Struct(_FH_FORMAT)
+#: READ: fh, offset, count, totalcount.
+READ_ARGS = struct.Struct(_FH_FORMAT + "3I")
+#: WRITE: fh, beginoffset, offset, totalcount, then the data's length word.
+WRITE_ARGS = struct.Struct(_FH_FORMAT + "4I")
+#: READDIR: fh, cookie, count.
+READDIR_ARGS = struct.Struct(_FH_FORMAT + "2I")
 
 
 @dataclass(frozen=True)
@@ -169,11 +180,12 @@ class FileHandle:
 
 
 def pack_fhandle(enc: XDREncoder, fh: FileHandle) -> None:
-    enc.pack_fixed_opaque(fh.encode(), FHSIZE)
+    enc.pack_struct(_FH_STRUCT, fh.ino, fh.generation, b"")
 
 
 def unpack_fhandle(dec: XDRDecoder) -> FileHandle:
-    return FileHandle.decode(dec.unpack_fixed_opaque(FHSIZE))
+    ino, generation, _pad = dec.unpack_struct(_FH_STRUCT)
+    return FileHandle(ino=ino, generation=generation)
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +193,29 @@ def unpack_fhandle(dec: XDRDecoder) -> FileHandle:
 # ---------------------------------------------------------------------------
 
 
-def pack_fattr(enc: XDREncoder, inode: Inode, block_size: int) -> None:
+#: ftype, mode, nlink, uid, gid, size, blocksize, rdev, blocks, fsid,
+#: fileid, then seconds and microseconds of atime, mtime and ctime.
+_FATTR = struct.Struct(">i16I")
+
+
+def _timeval(t: float) -> tuple[int, int]:
+    return int(t) & 0xFFFFFFFF, int((t % 1) * 1_000_000)
+
+
+def pack_fattr(enc: XDREncoder, inode: Inode, block_size: int,
+               mode: int | None = None) -> None:
+    """Pack ``inode``'s attributes, reporting permission bits ``mode``
+    (default: the inode's own); the inode itself is never written."""
     ftype = _FILETYPE_TO_FTYPE[inode.ftype]
-    mode = (inode.mode & 0o7777) | _TYPE_MODE_BITS[ftype]
-    enc.pack_enum(ftype)
-    enc.pack_uint(mode)
-    enc.pack_uint(inode.nlink)
-    enc.pack_uint(inode.uid)
-    enc.pack_uint(inode.gid)
-    enc.pack_uint(min(inode.size, 0xFFFFFFFF))
-    enc.pack_uint(block_size)
-    enc.pack_uint(0)  # rdev
-    enc.pack_uint((inode.size + block_size - 1) // block_size)
-    enc.pack_uint(0)  # fsid
-    enc.pack_uint(inode.ino)
-    for t in (inode.atime, inode.mtime, inode.ctime):
-        enc.pack_uint(int(t) & 0xFFFFFFFF)
-        enc.pack_uint(int((t % 1) * 1_000_000))
+    if mode is None:
+        mode = inode.mode
+    size = inode.size
+    enc.pack_struct(
+        _FATTR, ftype, (mode & 0o7777) | _TYPE_MODE_BITS[ftype], inode.nlink,
+        inode.uid, inode.gid, min(size, 0xFFFFFFFF), block_size,
+        0, (size + block_size - 1) // block_size, 0, inode.ino,  # rdev, blocks, fsid
+        *_timeval(inode.atime), *_timeval(inode.mtime), *_timeval(inode.ctime),
+    )
 
 
 @dataclass
@@ -227,25 +245,15 @@ class FAttr:
 
 
 def unpack_fattr(dec: XDRDecoder) -> FAttr:
-    ftype = FType(dec.unpack_enum())
-    mode = dec.unpack_uint()
-    nlink = dec.unpack_uint()
-    uid = dec.unpack_uint()
-    gid = dec.unpack_uint()
-    size = dec.unpack_uint()
-    blocksize = dec.unpack_uint()
-    dec.unpack_uint()  # rdev
-    blocks = dec.unpack_uint()
-    dec.unpack_uint()  # fsid
-    fileid = dec.unpack_uint()
-    times = []
-    for _ in range(3):
-        sec = dec.unpack_uint()
-        usec = dec.unpack_uint()
-        times.append(sec + usec / 1_000_000)
-    return FAttr(ftype=ftype, mode=mode, nlink=nlink, uid=uid, gid=gid,
+    (ftype, mode, nlink, uid, gid, size, blocksize, _rdev, blocks, _fsid,
+     fileid, asec, ausec, msec, musec, csec, cusec) = dec.unpack_struct(_FATTR)
+    kind = _FTYPES.get(ftype)
+    if kind is None:
+        raise XDRError(f"unknown ftype {ftype}")
+    return FAttr(ftype=kind, mode=mode, nlink=nlink, uid=uid, gid=gid,
                  size=size, blocksize=blocksize, blocks=blocks, fileid=fileid,
-                 atime=times[0], mtime=times[1], ctime=times[2])
+                 atime=asec + ausec / 1_000_000, mtime=msec + musec / 1_000_000,
+                 ctime=csec + cusec / 1_000_000)
 
 
 #: sattr field value meaning "do not change" (RFC 1094 uses all-ones).
@@ -268,12 +276,9 @@ def pack_sattr(enc: XDREncoder, sattr: SAttr) -> None:
     for value in (sattr.mode, sattr.uid, sattr.gid, sattr.size):
         enc.pack_uint(SATTR_NO_CHANGE if value is None else value)
     for t in (sattr.atime, sattr.mtime):
-        if t is None:
-            enc.pack_uint(SATTR_NO_CHANGE)
-            enc.pack_uint(SATTR_NO_CHANGE)
-        else:
-            enc.pack_uint(int(t) & 0xFFFFFFFF)
-            enc.pack_uint(int((t % 1) * 1_000_000))
+        sec, usec = (SATTR_NO_CHANGE, SATTR_NO_CHANGE) if t is None else _timeval(t)
+        enc.pack_uint(sec)
+        enc.pack_uint(usec)
 
 
 def unpack_sattr(dec: XDRDecoder) -> SAttr:

@@ -21,6 +21,9 @@ from repro.nfs.protocol import (
     MAX_PATH,
     NFS_PROGRAM,
     NFS_VERSION,
+    READ_ARGS,
+    READDIR_ARGS,
+    WRITE_ARGS,
     FileHandle,
     NFSStat,
     Proc,
@@ -126,15 +129,9 @@ class NFSProgram(RPCProgram):
         return enc.getvalue()
 
     def _pack_fattr_for(self, enc: XDREncoder, inode: Inode, ctx: CallContext) -> None:
-        reported = self.controller.effective_mode(ctx, inode)
-        # Report the controller-determined permission bits without
-        # mutating the stored inode.
-        original = inode.mode
-        try:
-            inode.mode = reported
-            pack_fattr(enc, inode, self.vfs.fs.block_size)
-        finally:
-            inode.mode = original
+        # Report the controller-determined permission bits.
+        pack_fattr(enc, inode, self.vfs.fs.block_size,
+                   self.controller.effective_mode(ctx, inode))
 
     def _diropres(self, inode: Inode, ctx: CallContext,
                   credential: str | None = None) -> bytes:
@@ -236,10 +233,8 @@ class NFSProgram(RPCProgram):
         return enc.getvalue()
 
     def _proc_read(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        offset = dec.unpack_uint()
-        count = dec.unpack_uint()
-        dec.unpack_uint()  # totalcount (unused, per RFC)
+        ino, generation, _pad, offset, count, _total = dec.unpack_struct(READ_ARGS)
+        fh = FileHandle(ino, generation)
         if count > MAX_DATA:
             raise XDRError(f"read of {count} bytes exceeds NFS maximum {MAX_DATA}")
         inode = self._inode_for(fh)
@@ -252,11 +247,12 @@ class NFSProgram(RPCProgram):
         return enc.getvalue()
 
     def _proc_write(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        dec.unpack_uint()  # beginoffset (unused)
-        offset = dec.unpack_uint()
-        dec.unpack_uint()  # totalcount (unused)
-        data = dec.unpack_opaque(MAX_DATA)
+        # beginoffset and totalcount are unused, per RFC.
+        ino, generation, _pad, _begin, offset, _total, size = dec.unpack_struct(WRITE_ARGS)
+        if size > MAX_DATA:
+            raise XDRError(f"opaque of {size} bytes exceeds maximum {MAX_DATA}")
+        data = dec.unpack_fixed_opaque(size)
+        fh = FileHandle(ino, generation)
         inode = self._inode_for(fh)
         self._check(ctx, "write", fh, inode)
         self.vfs.write(fh.file_id(), offset, data)
@@ -336,9 +332,8 @@ class NFSProgram(RPCProgram):
         return self._error(NFSStat.NFS_OK)
 
     def _proc_readdir(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        cookie = dec.unpack_uint()
-        count = dec.unpack_uint()
+        ino, generation, _pad, cookie, count = dec.unpack_struct(READDIR_ARGS)
+        fh = FileHandle(ino, generation)
         dir_inode = self._inode_for(fh)
         self._check(ctx, "readdir", fh, dir_inode)
         entries = self.vfs.readdir(fh.file_id())
@@ -349,13 +344,15 @@ class NFSProgram(RPCProgram):
         emitted = 0
         index = cookie
         while index < len(entries):
-            name, ino = entries[index]
-            entry_size = 3 * 4 + 4 + len(name) + 8
+            name, fileid = entries[index]
+            raw = name.encode("utf-8")
+            # follows-flag, fileid, name length, padded name, cookie
+            entry_size = 16 + (len(raw) + 3) // 4 * 4
             if emitted and entry_size > budget:
                 break
             enc.pack_bool(True)  # another entry follows
-            enc.pack_uint(ino)
-            enc.pack_string(name)
+            enc.pack_uint(fileid)
+            enc.pack_opaque(raw)
             enc.pack_uint(index + 1)  # cookie of the *next* entry
             budget -= entry_size
             emitted += 1

@@ -18,16 +18,23 @@ understand it record a child span.  Both directions are NULL-compatible
 with peers that predate tracing — the body has always been decoded,
 size-capped and otherwise ignored, so an old server skips the context
 and an old client simply sends the empty body.
+
+The fixed parts of both headers are one precompiled ``struct.Struct``
+each.  Every message carries an empty ``AUTH_NONE`` verifier; a
+verifier with a body, an unknown credential flavor or an unknown
+accept status is malformed XDR (:class:`~repro.errors.XDRError`), so a
+server answers such a call with ``GARBAGE_ARGS``.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import struct
 import threading
 from dataclasses import dataclass, field
 
-from repro.errors import RPCError
+from repro.errors import RPCError, XDRError
 from repro.rpc.xdr import XDRDecoder, XDREncoder
 
 RPC_VERSION = 2
@@ -54,6 +61,23 @@ class AuthFlavor(enum.IntEnum):
     AUTH_CHANNEL = 390000
 
 
+_AUTH_FLAVORS = {flavor.value: flavor for flavor in AuthFlavor}
+_ACCEPT_STATS = {stat.value: stat for stat in AcceptStat}
+
+#: xid, mtype, rpcvers, prog, vers, proc, credential flavor.
+_CALL_HEAD = struct.Struct(">IiIIIIi")
+#: xid, mtype, reply_stat, verifier flavor, verifier length, accept_stat.
+_REPLY_HEAD = struct.Struct(">IiiiIi")
+#: Verifier flavor and length: always AUTH_NONE with an empty body.
+_VERIFIER = struct.Struct(">iI")
+_NULL_VERIFIER = _VERIFIER.pack(AuthFlavor.AUTH_NONE, 0)
+
+
+def _check_verifier(length: int) -> None:
+    if length:
+        raise XDRError(f"unexpected {length}-byte verifier (expected AUTH_NONE)")
+
+
 _xid_counter = itertools.count(1)
 _xid_lock = threading.Lock()
 
@@ -75,38 +99,28 @@ class CallMessage:
 
     def encode(self) -> bytes:
         enc = XDREncoder()
-        enc.pack_uint(self.xid)
-        enc.pack_enum(MsgType.CALL)
-        enc.pack_uint(RPC_VERSION)
-        enc.pack_uint(self.prog)
-        enc.pack_uint(self.vers)
-        enc.pack_uint(self.proc)
-        enc.pack_enum(self.auth_flavor)
+        enc.pack_struct(_CALL_HEAD, self.xid, MsgType.CALL, RPC_VERSION,
+                        self.prog, self.vers, self.proc, self.auth_flavor)
         enc.pack_opaque(self.auth_body)
-        enc.pack_enum(AuthFlavor.AUTH_NONE)  # verifier flavor
-        enc.pack_opaque(b"")
+        enc.pack_fixed_opaque(_NULL_VERIFIER, _VERIFIER.size)
         return enc.getvalue() + self.args
 
     @classmethod
     def decode(cls, data: bytes) -> "CallMessage":
         dec = XDRDecoder(data)
-        xid = dec.unpack_uint()
-        mtype = dec.unpack_enum()
+        xid, mtype, rpcvers, prog, vers, proc, flavor = dec.unpack_struct(_CALL_HEAD)
         if mtype != MsgType.CALL:
             raise RPCError(f"expected CALL, got message type {mtype}")
-        rpcvers = dec.unpack_uint()
         if rpcvers != RPC_VERSION:
             raise RPCError(f"unsupported RPC version {rpcvers}")
-        prog = dec.unpack_uint()
-        vers = dec.unpack_uint()
-        proc = dec.unpack_uint()
-        flavor = AuthFlavor(dec.unpack_enum())
+        auth_flavor = _AUTH_FLAVORS.get(flavor)
+        if auth_flavor is None:
+            raise XDRError(f"unknown auth flavor {flavor}")
         auth_body = dec.unpack_opaque(max_size=400)
-        dec.unpack_enum()  # verifier flavor (ignored)
-        dec.unpack_opaque(max_size=400)
+        _check_verifier(dec.unpack_struct(_VERIFIER)[1])
         args = data[len(data) - dec.remaining :]
         return cls(prog=prog, vers=vers, proc=proc, args=args, xid=xid,
-                   auth_flavor=flavor, auth_body=auth_body)
+                   auth_flavor=auth_flavor, auth_body=auth_body)
 
 
 @dataclass
@@ -117,26 +131,20 @@ class ReplyMessage:
 
     def encode(self) -> bytes:
         enc = XDREncoder()
-        enc.pack_uint(self.xid)
-        enc.pack_enum(MsgType.REPLY)
-        enc.pack_enum(0)  # reply_stat = MSG_ACCEPTED
-        enc.pack_enum(AuthFlavor.AUTH_NONE)  # verifier
-        enc.pack_opaque(b"")
-        enc.pack_enum(self.stat)
+        enc.pack_struct(_REPLY_HEAD, self.xid, MsgType.REPLY, 0,  # MSG_ACCEPTED
+                        AuthFlavor.AUTH_NONE, 0, self.stat)
         return enc.getvalue() + self.results
 
     @classmethod
     def decode(cls, data: bytes) -> "ReplyMessage":
         dec = XDRDecoder(data)
-        xid = dec.unpack_uint()
-        mtype = dec.unpack_enum()
+        xid, mtype, reply_stat, _flavor, verifier, stat = dec.unpack_struct(_REPLY_HEAD)
         if mtype != MsgType.REPLY:
             raise RPCError(f"expected REPLY, got message type {mtype}")
-        reply_stat = dec.unpack_enum()
         if reply_stat != 0:
             raise RPCError(f"RPC message denied (reply_stat={reply_stat})")
-        dec.unpack_enum()  # verifier flavor
-        dec.unpack_opaque(max_size=400)
-        stat = AcceptStat(dec.unpack_enum())
-        results = data[len(data) - dec.remaining :]
-        return cls(xid=xid, stat=stat, results=results)
+        _check_verifier(verifier)
+        accept_stat = _ACCEPT_STATS.get(stat)
+        if accept_stat is None:
+            raise XDRError(f"unknown accept status {stat}")
+        return cls(xid=xid, stat=accept_stat, results=data[_REPLY_HEAD.size :])

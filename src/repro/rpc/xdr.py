@@ -1,14 +1,22 @@
 """XDR (External Data Representation) encoding — the RFC 4506 subset NFS uses.
 
 All quantities are big-endian and padded to 4-byte alignment.  The decoder
-is strict: short buffers and unconsumed padding bytes raise
+is a cursor over the message: it reads each scalar in place with
+``Struct.unpack_from`` and slices only the byte strings it returns.
+Fixed-shape records (an NFS ``fattr``, a file handle, the RPC headers) go
+through :meth:`XDREncoder.pack_struct` and :meth:`XDRDecoder.unpack_struct`
+with one precompiled :class:`struct.Struct` each, so a whole record costs
+one call instead of one per word.
+
+Strictness is the same on every path: out-of-range values, short buffers,
+nonzero padding and bool words other than 0/1 raise
 :class:`~repro.errors.XDRError` rather than silently misparsing.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, TypeVar
+from typing import Any, Callable, TypeVar
 
 from repro.errors import XDRError
 
@@ -16,6 +24,8 @@ _U32 = struct.Struct(">I")
 _I32 = struct.Struct(">i")
 _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
+#: Zero padding after ``n`` bytes of opaque data, indexed by ``n % 4``.
+_PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 
 T = TypeVar("T")
 
@@ -29,27 +39,22 @@ class XDREncoder:
     # -- integers ----------------------------------------------------------
 
     def pack_uint(self, value: int) -> "XDREncoder":
-        if not 0 <= value < 1 << 32:
-            raise XDRError(f"uint out of range: {value}")
-        self._buf += _U32.pack(value)
-        return self
+        return self._pack_scalar(_U32, "uint", value)
 
     def pack_int(self, value: int) -> "XDREncoder":
-        if not -(1 << 31) <= value < 1 << 31:
-            raise XDRError(f"int out of range: {value}")
-        self._buf += _I32.pack(value)
-        return self
+        return self._pack_scalar(_I32, "int", value)
 
     def pack_uhyper(self, value: int) -> "XDREncoder":
-        if not 0 <= value < 1 << 64:
-            raise XDRError(f"uhyper out of range: {value}")
-        self._buf += _U64.pack(value)
-        return self
+        return self._pack_scalar(_U64, "uhyper", value)
 
     def pack_hyper(self, value: int) -> "XDREncoder":
-        if not -(1 << 63) <= value < 1 << 63:
-            raise XDRError(f"hyper out of range: {value}")
-        self._buf += _I64.pack(value)
+        return self._pack_scalar(_I64, "hyper", value)
+
+    def _pack_scalar(self, shape: struct.Struct, kind: str, value: int) -> "XDREncoder":
+        try:
+            self._buf += shape.pack(value)
+        except struct.error:
+            raise XDRError(f"{kind} out of range: {value}") from None
         return self
 
     def pack_bool(self, value: bool) -> "XDREncoder":
@@ -73,6 +78,16 @@ class XDREncoder:
         self._pad(len(data))
         return self
 
+    def pack_struct(self, shape: struct.Struct, *values: Any) -> "XDREncoder":
+        """Append one fixed-shape record.  ``shape`` is a big-endian
+        (``>``) format of XDR words: ``i``, ``I``, ``q``, ``Q``, and ``s``
+        fields whose length is a multiple of 4."""
+        try:
+            self._buf += shape.pack(*values)
+        except struct.error as exc:
+            raise XDRError(f"record {shape.format!r} out of range: {exc}") from None
+        return self
+
     def pack_string(self, text: str) -> "XDREncoder":
         return self.pack_opaque(text.encode("utf-8"))
 
@@ -92,8 +107,7 @@ class XDREncoder:
         return self
 
     def _pad(self, size: int) -> None:
-        if size % 4:
-            self._buf += b"\x00" * (4 - size % 4)
+        self._buf += _PAD[size & 3]
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
@@ -109,29 +123,41 @@ class XDRDecoder:
         self._data = data
         self._pos = 0
 
+    def _underrun(self, n: int) -> XDRError:
+        return XDRError(
+            f"buffer underrun: need {n} bytes at offset {self._pos}, "
+            f"have {len(self._data) - self._pos}"
+        )
+
     def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise XDRError(
-                f"buffer underrun: need {n} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        pos = self._pos
+        if pos + n > len(self._data):
+            raise self._underrun(n)
+        self._pos = pos + n
+        return self._data[pos : pos + n]
+
+    def unpack_struct(self, shape: struct.Struct) -> tuple[Any, ...]:
+        """Read one fixed-shape record (see :meth:`XDREncoder.pack_struct`)."""
+        try:
+            values = shape.unpack_from(self._data, self._pos)
+        except struct.error:
+            raise self._underrun(shape.size) from None
+        self._pos += shape.size
+        return values
 
     # -- integers ----------------------------------------------------------
 
     def unpack_uint(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        return self.unpack_struct(_U32)[0]
 
     def unpack_int(self) -> int:
-        return _I32.unpack(self._take(4))[0]
+        return self.unpack_struct(_I32)[0]
 
     def unpack_uhyper(self) -> int:
-        return _U64.unpack(self._take(8))[0]
+        return self.unpack_struct(_U64)[0]
 
     def unpack_hyper(self) -> int:
-        return _I64.unpack(self._take(8))[0]
+        return self.unpack_struct(_I64)[0]
 
     def unpack_bool(self) -> bool:
         value = self.unpack_uint()
@@ -179,10 +205,9 @@ class XDRDecoder:
         return None
 
     def _skip_pad(self, size: int) -> None:
-        if size % 4:
-            pad = self._take(4 - size % 4)
-            if pad.strip(b"\x00"):
-                raise XDRError("nonzero padding bytes")
+        pad = _PAD[size & 3]
+        if pad and self._take(len(pad)) != pad:
+            raise XDRError("nonzero padding bytes")
 
     def done(self) -> None:
         """Assert the whole buffer was consumed."""

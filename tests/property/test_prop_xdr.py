@@ -1,9 +1,34 @@
 """Property tests: XDR round-trips for arbitrary values."""
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import XDRError
 from repro.rpc.xdr import XDRDecoder, XDREncoder
+
+#: struct code -> (XDR scalar kind, smallest value, largest value).
+_SCALARS = {
+    "I": ("uint", 0, (1 << 32) - 1),
+    "i": ("int", -(1 << 31), (1 << 31) - 1),
+    "Q": ("uhyper", 0, (1 << 64) - 1),
+    "q": ("hyper", -(1 << 63), (1 << 63) - 1),
+}
+_CODES = st.lists(st.sampled_from(sorted(_SCALARS)), min_size=1, max_size=8)
+
+
+def _scalar_value(code: str):
+    _kind, lo, hi = _SCALARS[code]
+    return st.one_of(st.integers(lo, hi), st.sampled_from([lo, hi, lo - 1, hi + 1]))
+
+
+def _outcome(fn):
+    """The result of ``fn()``, or XDRError if it raised one."""
+    try:
+        return fn()
+    except XDRError:
+        return XDRError
 
 
 @settings(max_examples=200)
@@ -83,3 +108,39 @@ def test_heterogeneous_sequence_roundtrip(fields):
     for kind, value in fields:
         assert getattr(dec, f"unpack_{kind}")() == value
     dec.done()
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_pack_struct_matches_scalar_sequence(data):
+    """Same bytes, or the same XDRError on an out-of-range value."""
+    codes = data.draw(_CODES)
+    values = [data.draw(_scalar_value(code)) for code in codes]
+    shape = struct.Struct(">" + "".join(codes))
+
+    def scalars():
+        enc = XDREncoder()
+        for code, value in zip(codes, values):
+            getattr(enc, f"pack_{_SCALARS[code][0]}")(value)
+        return enc.getvalue()
+
+    assert _outcome(lambda: XDREncoder().pack_struct(shape, *values).getvalue()) \
+        == _outcome(scalars)
+
+
+@settings(max_examples=300)
+@given(_CODES, st.binary(max_size=72))
+def test_unpack_struct_matches_scalar_sequence(codes, raw):
+    """Same values and cursor, or the same XDRError on a short buffer."""
+    shape = struct.Struct(">" + "".join(codes))
+
+    def scalars():
+        dec = XDRDecoder(raw)
+        values = tuple(getattr(dec, f"unpack_{_SCALARS[code][0]}")() for code in codes)
+        return values, dec.remaining
+
+    def whole():
+        dec = XDRDecoder(raw)
+        return dec.unpack_struct(shape), dec.remaining
+
+    assert _outcome(whole) == _outcome(scalars)

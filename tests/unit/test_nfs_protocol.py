@@ -77,6 +77,16 @@ class TestFAttr:
         assert attr.mtime == pytest.approx(5678.25, abs=1e-3)
 
 
+    def test_unknown_ftype_is_xdr_error(self):
+        fs = FFS()
+        enc = XDREncoder()
+        pack_fattr(enc, fs.create(fs.root_ino, "f"), fs.block_size)
+        raw = bytearray(enc.getvalue())
+        raw[0:4] = (77).to_bytes(4, "big")  # ftype
+        with pytest.raises(XDRError):
+            unpack_fattr(XDRDecoder(bytes(raw)))
+
+
 class TestSAttr:
     def test_roundtrip_all_set(self):
         sattr = SAttr(mode=0o600, uid=1, gid=2, size=100, atime=10.0, mtime=20.0)

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.errors import NFSError
+from repro.fs import inode as inode_module
 from repro.fs.ffs import FFS
 from repro.fs.vfs import VFS
 from repro.nfs.client import NFSClient
 from repro.nfs.mount import MountClient, MountProgram
 from repro.nfs.protocol import MAX_DATA, NFSStat, SAttr
-from repro.nfs.server import NFSProgram
+from repro.nfs.server import AllowAllController, NFSProgram
+from repro.rpc.message import ReplyMessage
 from repro.rpc.server import RPCServer
 from repro.rpc.transport import InProcessTransport
 
@@ -124,12 +126,100 @@ class TestDirectories:
         all_names = {n for _i, n in client.readdir_all(client.root)}
         assert len(all_names) == 52
 
+    @pytest.mark.parametrize("multibyte", [False, True])
+    @pytest.mark.parametrize("count", [512, 1024, 2048])
+    def test_readdir_entries_fit_count(self, count, multibyte):
+        # 40 names of 86 characters; with "€" they are 254 UTF-8 bytes.
+        stem = "€" * 84 if multibyte else "x" * 84
+        names = {f"{stem}{i:02}" for i in range(40)}
+        fs = FFS()
+        for name in names:
+            fs.create(fs.root_ino, name)
+        vfs = VFS(fs)
+        server = RPCServer()
+        server.register(NFSProgram(vfs))
+        server.register(MountProgram(vfs))
+        transport = _LastReply(InProcessTransport(server.handler_for(None)))
+        client = NFSClient(transport, MountClient(transport).mount("/"))
+
+        seen: list[str] = []
+        cookie = 0
+        while True:
+            entries, eof = client.readdir(client.root, cookie, count)
+            # The reply is status, entries, end-of-list word, eof word.
+            entry_bytes = len(ReplyMessage.decode(transport.reply).results) - 12
+            assert entry_bytes <= max(count, 512) or len(entries) == 1
+            seen.extend(name for _id, name, _c in entries)
+            if eof:
+                break
+            cookie = entries[-1][2]
+        assert sorted(seen) == sorted(names | {".", ".."})
+
     def test_walk(self, stack):
         fs, client = stack
         fs.makedirs("/a/b")
         fs.write_file("/a/b/f", b"deep")
         fh, attr = client.walk("/a/b/f")
         assert client.read(fh, 0, 4) == b"deep"
+
+
+class _LastReply:
+    """Transport wrapper that keeps the last raw reply."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.reply = b""
+
+    def call(self, request: bytes) -> bytes:
+        self.reply = self._inner.call(request)
+        return self.reply
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+class TestRepliesLeaveInodesAlone:
+    """Reporting a controller-chosen mode must not touch the live inode."""
+
+    def test_no_mode_writes(self, monkeypatch):
+        writes: list[tuple[int, int]] = []
+
+        class WatchedInode(inode_module.Inode):
+            @property
+            def mode(self):
+                return self.__dict__["mode"]
+
+            @mode.setter
+            def mode(self, value):
+                if "mode" in self.__dict__:  # not the constructor's write
+                    writes.append((self.ino, value))
+                self.__dict__["mode"] = value
+
+        class ReportsOtherMode(AllowAllController):
+            def effective_mode(self, ctx, inode):
+                return 0o500
+
+        monkeypatch.setattr(inode_module, "Inode", WatchedInode)
+        fs = FFS()
+        vfs = VFS(fs)
+        server = RPCServer()
+        server.register(NFSProgram(vfs, ReportsOtherMode()))
+        server.register(MountProgram(vfs))
+        transport = InProcessTransport(server.handler_for("unit-test"))
+        client = NFSClient(transport, MountClient(transport).mount("/"))
+
+        fh, created, _cred = client.create(client.root, "f", SAttr(mode=0o640))
+        reported = [
+            created,
+            client.write(fh, 0, b"data"),
+            client.getattr(fh),
+            client.lookup(client.root, "f")[1],
+        ]
+        client.read(fh, 0, 4)
+        assert writes == []
+        assert [attr.permission_bits for attr in reported] == [0o500] * 4
+        assert isinstance(fs.iget(fh.ino), WatchedInode)
+        assert fs.iget(fh.ino).mode == 0o640
 
 
 class TestMount:

@@ -91,3 +91,14 @@ class TestDispatch:
         # must not raise, must return an encodable reply
         reply = server.handle(b"\x01\x02")
         assert isinstance(reply, bytes)
+
+    @pytest.mark.parametrize("length", [36, 40])
+    def test_unknown_auth_flavor_gets_garbage_args(self, length):
+        from repro.rpc.message import AcceptStat, CallMessage, ReplyMessage
+
+        server = RPCServer()
+        server.register(make_adder_program())
+        raw = bytearray(CallMessage(prog=200000, vers=1, proc=0).encode())
+        raw[24:28] = (12345).to_bytes(4, "big")  # credential flavor
+        reply = ReplyMessage.decode(server.handle(bytes(raw[:length])))
+        assert reply.stat == AcceptStat.GARBAGE_ARGS

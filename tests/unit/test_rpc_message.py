@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RPCError
+from repro.errors import RPCError, XDRError
 from repro.rpc.message import (
     AcceptStat,
     AuthFlavor,
@@ -46,6 +46,12 @@ class TestCallMessage:
         with pytest.raises(RPCError):
             CallMessage.decode(bytes(raw))
 
+    def test_unknown_auth_flavor_is_xdr_error(self):
+        raw = bytearray(CallMessage(prog=1, vers=1, proc=0).encode())
+        raw[24:28] = (12345).to_bytes(4, "big")  # credential flavor
+        with pytest.raises(XDRError):
+            CallMessage.decode(bytes(raw))
+
 
 class TestReplyMessage:
     def test_roundtrip(self):
@@ -59,6 +65,12 @@ class TestReplyMessage:
         for stat in AcceptStat:
             decoded = ReplyMessage.decode(ReplyMessage(xid=1, stat=stat).encode())
             assert decoded.stat == stat
+
+    def test_unknown_accept_stat_is_xdr_error(self):
+        raw = bytearray(ReplyMessage(xid=1).encode())
+        raw[20:24] = (99).to_bytes(4, "big")  # accept_stat
+        with pytest.raises(XDRError):
+            ReplyMessage.decode(bytes(raw))
 
     def test_call_rejected_as_reply(self):
         call = CallMessage(prog=1, vers=1, proc=0).encode()
