@@ -65,13 +65,13 @@ def test_output_block_degraded_one_node_down(benchmark):
     from repro.bench.targets import LocalFFSTarget
     from repro.fs.ffs import FFS
     from repro.storage import (FailingBlockStore, MemoryBlockStore,
-                               ReplicatedBlockStore, StoreBlockDevice)
+                               ReplicatedBlockStore)
 
     children = [FailingBlockStore(MemoryBlockStore(num_blocks=1 << 15))
                 for _ in range(3)]
     children[0].fail()
     store = ReplicatedBlockStore(children, write_quorum=2, read_quorum=2)
-    fs = FFS(StoreBlockDevice(store, uri="replica://3?w=2&r=2 (degraded)"))
+    fs = FFS(store)
     target = LocalFFSTarget(fs, name="FFS")
     result = benchmark(phase_output_block, target, BONNIE_PATH, FILE_SIZE)
     assert result.nbytes == FILE_SIZE

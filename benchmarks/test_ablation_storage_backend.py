@@ -74,6 +74,13 @@ def test_backend_comparison_table(tmp_path, capsys):
         bonnie = results["bonnie"][uri]
         assert all(bonnie.kps(p) > 0 for p in bonnie.phases)
         assert results["device"][uri]["writes"] > 0
+    # Logical traffic is what FFS issued, so it is the same over every
+    # backend: the top store's counters see exactly FFS's block calls.
+    logical = {
+        uri: tuple(results["device"][uri][k] for k in ("reads", "writes", "seeks"))
+        for uri in backends
+    }
+    assert len(set(logical.values())) == 1, logical
     # The write-back cache must absorb physical I/O relative to logical.
     cached_uri = BACKENDS["cached-sqlite"].format(tmp=tmp_path)
     cached_dev = results["device"][cached_uri]

@@ -44,7 +44,7 @@ _FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
 
 #: Bare-name calls that hand back a resource the caller must close.
 _ACQUIRER_NAMES = frozenset({
-    "open_store", "open_device", "serve_store", "build",
+    "open_store", "serve_store", "build",
     "_build_children", "TCPTransport", "PipelinedTCPTransport",
     "ConnectionPool",
 })

@@ -29,10 +29,9 @@ from repro.core.admin import Administrator, identity_of, make_user_keypair
 from repro.core.client import DisCFSClient
 from repro.core.permissions import Permission
 from repro.core.server import DisCFSServer
-from repro.fs.blockdev import BlockDevice, MemoryBlockDevice
 from repro.fs.ffs import FFS
 from repro.rpc.transport import LatencyModel, SimulatedLatencyTransport
-from repro.storage import open_device
+from repro.storage import BlockStore, open_store
 
 SYSTEMS = ("FFS", "CFS-NE", "CFS", "DisCFS", "DisCFS-IPsec")
 
@@ -64,10 +63,8 @@ class BuiltSystem:
         return None
 
 
-def _fresh_device(device_blocks: int, backend: str | None) -> BlockDevice:
-    if backend is None:
-        return MemoryBlockDevice(num_blocks=device_blocks)
-    return open_device(backend, num_blocks=device_blocks)
+def _fresh_store(device_blocks: int, backend: str | None) -> BlockStore:
+    return open_store(backend or "mem://", num_blocks=device_blocks)
 
 
 def make_target(
@@ -79,7 +76,7 @@ def make_target(
 ) -> BuiltSystem:
     """Build a named system on a fresh filesystem.
 
-    ``backend``: storage URI the filesystem's device is opened from
+    ``backend``: storage URI the filesystem's store is opened from
     (default in-memory).  The backend ablation sweeps this axis while
     everything above the block layer stays identical.
 
@@ -89,12 +86,12 @@ def make_target(
     is unaffected).  The model lands in ``extras["network_model"]``.
     """
     if system == "FFS":
-        fs = FFS(_fresh_device(device_blocks, backend))
+        fs = FFS(_fresh_store(device_blocks, backend))
         return BuiltSystem(name=system, target=LocalFFSTarget(fs, name=system), fs=fs)
 
     if system in ("CFS-NE", "CFS"):
         server = CFSServer(
-            device=_fresh_device(device_blocks, backend),
+            fs=FFS(_fresh_store(device_blocks, backend)),
             encrypt=(system == "CFS"),
         )
         transport = server.in_process_transport("cfs-user")
@@ -116,7 +113,7 @@ def make_target(
         admin = Administrator.generate(seed=b"bench-admin")
         server = DisCFSServer(
             admin_identity=admin.identity,
-            device=_fresh_device(device_blocks, backend),
+            fs=FFS(_fresh_store(device_blocks, backend)),
             cache_capacity=cache_capacity,
         )
         admin.trust_server(server)

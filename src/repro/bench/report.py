@@ -85,16 +85,13 @@ def _device_row(built, seeks: bool = False) -> dict:
     leaf stores is where cached://, shard:// and replica:// differ.
     """
     stats = built.device_stats
-    store = getattr(built.fs.device, "store", None)
-    leaves = store.leaf_stores() if store is not None else []
+    leaves = built.fs.device.leaf_stores()
     row = {
         "reads": stats.reads,
         "writes": stats.writes,
-        "physical_reads": sum(leaf.stats.reads for leaf in leaves)
-        if leaves else stats.reads,
-        "physical_writes": sum(leaf.stats.writes for leaf in leaves)
-        if leaves else stats.writes,
-        "leaves": len(leaves) or 1,
+        "physical_reads": sum(leaf.stats.reads for leaf in leaves),
+        "physical_writes": sum(leaf.stats.writes for leaf in leaves),
+        "leaves": len(leaves),
     }
     if seeks:
         row["seeks"] = stats.seeks
@@ -153,7 +150,7 @@ def run_replication_ablation(
     from repro.fs.ffs import FFS
     from repro.rpc.server import RPCServer
     from repro.rpc.transport import InProcessTransport
-    from repro.storage import MemoryBlockStore, StoreBlockDevice
+    from repro.storage import MemoryBlockStore
     from repro.storage.net import BlockStoreProgram, RemoteBlockStore
 
     results: dict = {"system": system, "bonnie": {}, "device": {}, "rpc": {}}
@@ -162,14 +159,12 @@ def run_replication_ablation(
         results["bonnie"][uri] = run_bonnie(
             built.target, file_size=file_size, char_size=char_size
         )
-        store = getattr(built.fs.device, "store", None)
+        store = built.fs.device
         row = _device_row(built)
         # The uniform protocol names the layer (scheme) and its live
         # children; no isinstance probing of store internals.
         row["replicas"] = (
-            len(store.child_stores())
-            if store is not None and store.scheme == "replica"
-            else 1
+            len(store.child_stores()) if store.scheme == "replica" else 1
         )
         results["device"][uri] = row
         built.fs.device.close()
@@ -186,7 +181,7 @@ def run_replication_ablation(
         rpc.register(BlockStoreProgram(backing))
         transport = InProcessTransport(rpc.handler_for(None))
         remote = RemoteBlockStore(transport, batch=batch)
-        fs = FFS(StoreBlockDevice(remote, uri=label))
+        fs = FFS(remote)
         for i in range(4):
             fs.write_file(f"/extent-{i}.dat", payload)
         for i in range(4):
@@ -274,7 +269,7 @@ def run_journal_ablation(
         results["bonnie"][label] = run_bonnie(
             built.target, file_size=file_size, char_size=char_size
         )
-        store = built.fs.device.store
+        store = built.fs.device
         row = _device_row(built)
         # Uniform snapshot protocol: walk the mounted tree and read each
         # layer's counters from its StoreStats — no isinstance probing.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fs.blockdev import BlockDeviceStats
+from repro.storage.base import BlockDeviceStats
 
 
 @dataclass

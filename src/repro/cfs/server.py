@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.cfs.cipher_layer import EncryptingVFS
-from repro.fs.blockdev import BlockDevice
 from repro.fs.ffs import FFS
 from repro.fs.vfs import VFS
 from repro.nfs.mount import MountProgram
@@ -25,17 +24,14 @@ class CFSServer:
     def __init__(
         self,
         fs: FFS | None = None,
-        device: BlockDevice | None = None,
         encrypt: bool = False,
         master_key: bytes = b"cfs-default-master-key",
         backend: str | None = None,
     ):
         # ``backend`` is a storage URI (mem://, sqlite://, shard://, ...)
-        # resolved through the repro.storage registry; ``device``/``fs``
-        # take precedence for callers that construct their own.
-        self.fs = fs if fs is not None else FFS(
-            device if device is not None else backend
-        )
+        # resolved through the repro.storage registry; ``fs`` takes
+        # precedence for callers that construct their own.
+        self.fs = fs if fs is not None else FFS(backend)
         self.encrypt = encrypt
         if encrypt:
             self.vfs: VFS = EncryptingVFS(self.fs, master_key)

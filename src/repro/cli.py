@@ -209,19 +209,19 @@ def _import_host_tree(server: DisCFSServer, host_dir: str) -> int:
 def cmd_serve(args) -> int:
     from repro.fs import persist
     from repro.fs.ffs import FFS
-    from repro.storage import open_device
+    from repro.storage import open_store
 
     admin_identity = _read(args.admin_identity).strip() \
         if os.path.exists(args.admin_identity) else args.admin_identity
     # Restore a previous checkpoint when the backend holds one (what makes
     # `--backend file:///var/lib/discfs.img` survive restarts); otherwise
     # build a fresh filesystem on the backend.
-    device = open_device(args.backend)
+    store = open_store(args.backend)
     try:
-        fs = persist.load(device)
+        fs = persist.load(store)
         print(f"restored filesystem checkpoint from {args.backend}")
     except ReproError:
-        fs = FFS(device)
+        fs = FFS(store)
     server = DisCFSServer(admin_identity=admin_identity,
                           cache_capacity=args.cache,
                           fs=fs)
@@ -279,9 +279,9 @@ _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
 
 def cmd_store_serve(args) -> int:
     """Serve one storage backend over RPC (the ``remote://`` server side)."""
-    from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
     from repro.storage import DEFAULT_NUM_BLOCKS, open_store
     from repro.storage.auth import AuditLog, StoreAuthGate, TenantQuota
+    from repro.storage.base import DEFAULT_BLOCK_SIZE
     from repro.storage.net import serve_store
 
     if (args.host not in _LOOPBACK_HOSTS and not args.policy

@@ -34,7 +34,6 @@ from repro.core.revocation import RevocationStore
 from repro.crypto.dsa import DSAKeyPair, generate_dsa_keypair
 from repro.crypto.rsa import RSAKeyPair
 from repro.errors import KeyNoteError, SignatureVerificationError
-from repro.fs.blockdev import BlockDevice
 from repro.fs.ffs import FFS
 from repro.fs.inode import Inode
 from repro.fs.vfs import VFS
@@ -179,9 +178,9 @@ class DisCFSServer:
         INODE_GENERATION (default) or the prototype's bare INODE.
     backend:
         Storage-backend URI (``mem://``, ``file://``, ``sqlite://``,
-        ``shard://``, ``cached://``) the server's filesystem is built on
-        when neither ``fs`` nor ``device`` is given; resolved through
-        :func:`repro.storage.open_device`.
+        ``shard://``, ``cached://``) the server's filesystem is mounted
+        on when ``fs`` is not given; resolved through
+        :func:`repro.storage.open_store`.
     cache_capacity / cache_ttl:
         Policy cache parameters (paper evaluation: 128 entries).
     clock:
@@ -200,7 +199,6 @@ class DisCFSServer:
         self,
         admin_identity: str,
         fs: FFS | None = None,
-        device: BlockDevice | None = None,
         issuer_key: DSAKeyPair | RSAKeyPair | None = None,
         server_key: DSAKeyPair | RSAKeyPair | None = None,
         handle_scheme: HandleScheme = HandleScheme.INODE_GENERATION,
@@ -211,12 +209,7 @@ class DisCFSServer:
         audit_capacity: int = 10_000,
         backend: str | None = None,
     ):
-        # ``backend`` is a storage URI (mem://, sqlite://, shard://, ...)
-        # resolved through the repro.storage registry; ``device``/``fs``
-        # take precedence for callers that construct their own.
-        self.fs = fs if fs is not None else FFS(
-            device if device is not None else backend
-        )
+        self.fs = fs if fs is not None else FFS(backend)
         self.vfs = VFS(self.fs)
         self.admin_identity = normalize_principal(admin_identity)
         self.handle_scheme = handle_scheme

@@ -4,11 +4,11 @@ The paper's evaluation compares DisCFS and CFS-NE against the local
 OpenBSD fast filesystem (FFS) on a real disk.  This package provides the
 equivalent substrate for the reproduction:
 
-* :mod:`repro.fs.blockdev` — block devices (memory- and file-backed) with
-  I/O accounting, so benchmarks can attribute costs,
 * :mod:`repro.fs.inode` — inodes with attributes and generation numbers,
 * :mod:`repro.fs.ffs` — an inode+block filesystem: directories, regular
-  files, hard/symbolic links, rename, sparse files,
+  files, hard/symbolic links, rename, sparse files, mounted on any
+  :class:`repro.storage.BlockStore` (whose I/O accounting lets
+  benchmarks attribute costs),
 * :mod:`repro.fs.vfs` — the vnode-style interface the NFS server exports.
 
 The same FFS instance backs all three measured systems: "FFS" benchmarks
@@ -17,7 +17,6 @@ NFS-over-RPC stacks — mirroring the paper's setup where all servers
 ultimately stored files on the local disk.
 """
 
-from repro.fs.blockdev import BlockDeviceStats, FileBlockDevice, MemoryBlockDevice
 from repro.fs.ffs import FFS
 from repro.fs.inode import FileType
 from repro.fs.vfs import VFS
@@ -26,7 +25,4 @@ __all__ = [
     "FFS",
     "FileType",
     "VFS",
-    "MemoryBlockDevice",
-    "FileBlockDevice",
-    "BlockDeviceStats",
 ]

@@ -1,8 +1,8 @@
 """An inode+block filesystem in the style of the BSD fast filesystem.
 
 This is the storage substrate under all three measured systems.  File data
-and directory contents move through the block device (so benchmarks can
-account I/O); inode and allocation metadata are kept in memory, a
+and directory contents move through the mounted block store (so benchmarks
+can account I/O); inode and allocation metadata are kept in memory, a
 documented simplification — none of the paper's experiments exercise crash
 recovery, and the access-control mechanisms under study sit entirely above
 this layer.
@@ -27,8 +27,8 @@ from repro.errors import (
     NoSpace,
     NotADirectory,
 )
-from repro.fs.blockdev import BlockDevice, MemoryBlockDevice, device_from_uri
 from repro.fs.inode import FileType, Inode, InodeTable
+from repro.storage import BlockStore, MemoryBlockStore, open_store
 
 MAX_NAME_LEN = 255
 
@@ -44,12 +44,12 @@ class FFS:
     metadata change, atime on read).
     """
 
-    def __init__(self, device: BlockDevice | str | None = None) -> None:
+    def __init__(self, device: BlockStore | str | None = None) -> None:
         # A string is a storage-backend URI ("mem://", "sqlite:///fs.db",
         # "cached://shard://4", ...) resolved through repro.storage.
         if isinstance(device, str):
-            device = device_from_uri(device)
-        self.device = device if device is not None else MemoryBlockDevice()
+            device = open_store(device)
+        self.device = device if device is not None else MemoryBlockStore()
         self.block_size = self.device.block_size
         self._inodes = InodeTable()
         # Block 0 reserved as a pseudo-superblock; data blocks from 1.
@@ -58,7 +58,6 @@ class FFS:
         self._dir_cache: dict[int, dict[str, int]] = {}
 
         root = self._inodes.allocate(FileType.DIRECTORY, mode=0o755)
-        assert root.ino == InodeTable.ROOT_INO or True  # first alloc may differ
         self.root_ino = root.ino
         root.nlink = 2
         root.parent_ino = root.ino
@@ -306,8 +305,8 @@ class FFS:
                 logical = size // self.block_size
                 if logical in inode.blocks:
                     keep = size % self.block_size
-                    block = self.device.read_block(inode.blocks[logical])
-                    self.device.write_block(
+                    block = self.device.read(inode.blocks[logical])
+                    self.device.write(
                         inode.blocks[logical], block[:keep]
                     )
         inode.size = size
@@ -505,7 +504,7 @@ class FFS:
             pos += chunk
             remaining -= chunk
         needed = [block_no for block_no, _, _ in spans if block_no is not None]
-        fetched = dict(zip(needed, self.device.read_blocks(needed))) \
+        fetched = dict(zip(needed, self.device.read_many(needed))) \
             if needed else {}
         out = bytearray()
         for block_no, within, chunk in spans:
@@ -540,7 +539,7 @@ class FFS:
             data_pos += chunk
             remaining -= chunk
         to_read = [block_no for block_no, _, _, _, needs in plan if needs]
-        existing = dict(zip(to_read, self.device.read_blocks(to_read))) \
+        existing = dict(zip(to_read, self.device.read_many(to_read))) \
             if to_read else {}
         writes: list[tuple[int, bytes]] = []
         for block_no, within, chunk, data_pos, needs_read in plan:
@@ -555,4 +554,4 @@ class FFS:
                     + base[within + chunk :]
                 )
             writes.append((block_no, new_block))
-        self.device.write_blocks(writes)
+        self.device.write_many(writes)

@@ -1,14 +1,15 @@
 """Filesystem metadata persistence.
 
 ``FFS`` keeps inode and allocation metadata in memory; file *data* and
-directory blocks already live on the block device.  This module adds a
-checkpoint mechanism so a filesystem on a :class:`FileBlockDevice`
-survives process restarts:
+directory blocks already live on the mounted block store.  This module
+adds a checkpoint mechanism so a filesystem on a durable store
+(``file://``, ``sqlite://``, ``journal://...``) survives process
+restarts:
 
 * :func:`sync` serializes the inode table, allocator state and directory
   caches into blocks taken from the normal allocator, and records their
   list in the superblock (block 0) with a magic number and a checksum;
-* :func:`load` rebuilds an :class:`~repro.fs.ffs.FFS` from a device that
+* :func:`load` rebuilds an :class:`~repro.fs.ffs.FFS` from a store that
   holds such a checkpoint.
 
 The format is explicitly versioned.  Metadata persistence is
@@ -16,9 +17,9 @@ checkpoint-based: an unsynced crash loses *metadata* changes since the
 last ``sync``.  ``sync`` itself is crash-safe — the new checkpoint is
 fully written and flushed before the superblock points at it, and the
 old checkpoint's blocks are not reused until then — so a crash at any
-instant leaves one valid checkpoint on the device.  Block-level crash
+instant leaves one valid checkpoint on the store.  Block-level crash
 recovery (no acknowledged write ever lost) is the storage layer's job:
-mount the device on a ``journal://`` URI (:mod:`repro.storage.journal`).
+mount the filesystem on a ``journal://`` URI (:mod:`repro.storage.journal`).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import hashlib
 import struct
 
 from repro.errors import FSError, InvalidArgument
-from repro.fs.blockdev import BlockDevice
 from repro.fs.ffs import FFS
-from repro.fs.inode import FileType, Inode
+from repro.fs.inode import FileType, Inode, InodeTable
+from repro.storage import BlockStore, open_store
 
 MAGIC = b"DisCFSv1"
 _SUPER = struct.Struct(">8sII32s")  # magic, metadata length, block count, sha256
@@ -159,7 +160,7 @@ def sync(fs: FFS) -> int:
         fs._free_blocks.extend(deferred)
 
     for i, block_no in enumerate(block_list):
-        fs.device.write_block(block_no, payload[i * block_size : (i + 1) * block_size])
+        fs.device.write(block_no, payload[i * block_size : (i + 1) * block_size])
     # The payload must be durable before the superblock points at it —
     # this also pushes write-back layers (cached://) and buffered
     # backends (sqlite://): a checkpoint that only reaches a cache is
@@ -172,7 +173,7 @@ def sync(fs: FFS) -> int:
                          hashlib.sha256(payload).digest())
     if len(header) + len(listing) > block_size:
         raise FSError("metadata block list does not fit in the superblock")
-    fs.device.write_block(0, header + listing)
+    fs.device.write(0, header + listing)
     fs.device.flush()
     return len(payload)
 
@@ -182,7 +183,7 @@ def _release_old_checkpoint(fs: FFS) -> list[int]:
     already free — a failed sync may have released them once) and report
     them so :func:`sync` can defer their reuse past the commit point."""
     try:
-        block_list = _read_checkpoint_blocks(fs.device)
+        _length, _digest, block_list = _read_checkpoint_blocks(fs.device)
     except FSError:
         return []
     already_free = set(fs._free_blocks)
@@ -192,44 +193,40 @@ def _release_old_checkpoint(fs: FFS) -> list[int]:
     return block_list
 
 
-def _read_checkpoint_blocks(device: BlockDevice) -> list[int]:
-    super_block = device.read_block(0)
-    magic, length, count, _digest = _SUPER.unpack_from(super_block)
+def _read_checkpoint_blocks(store: BlockStore) -> tuple[int, bytes, list[int]]:
+    """Parse the superblock: (metadata length, sha256, checkpoint blocks).
+
+    Raises :class:`InvalidArgument` (an :class:`FSError`) when block 0
+    holds no checkpoint and :class:`FSError` when its block count
+    overruns the block.
+    """
+    super_block = store.read(0)
+    magic, length, count, digest = _SUPER.unpack_from(super_block)
     if magic != MAGIC:
-        raise FSError("device holds no DisCFS checkpoint")
-    offset = _SUPER.size
-    return [
-        _U32.unpack_from(super_block, offset + 4 * i)[0] for i in range(count)
-    ]
+        raise InvalidArgument("store holds no DisCFS checkpoint")
+    if count > (len(super_block) - _SUPER.size) // _U32.size:
+        raise FSError(f"corrupt superblock: {count} checkpoint blocks "
+                      "do not fit in block 0")
+    block_list = list(struct.unpack_from(f">{count}I", super_block, _SUPER.size))
+    return length, digest, block_list
 
 
-def load(device: BlockDevice | str) -> FFS:
-    """Rebuild a filesystem from a checkpointed device.
+def load(device: BlockStore | str) -> FFS:
+    """Rebuild a filesystem from a checkpointed store.
 
     ``device`` may be a backend URI (``file:///path``, ``sqlite:///path``,
     ``shard://...``); it is resolved through the storage registry.
     """
     if isinstance(device, str):
-        from repro.fs.blockdev import device_from_uri
-
-        device = device_from_uri(device)
-    super_block = device.read_block(0)
-    magic, length, count, digest = _SUPER.unpack_from(super_block)
-    if magic != MAGIC:
-        raise InvalidArgument("device holds no DisCFS checkpoint")
-    offset = _SUPER.size
-    block_list = [
-        _U32.unpack_from(super_block, offset + 4 * i)[0] for i in range(count)
-    ]
-    payload = b"".join(device.read_block(b) for b in block_list)[:length]
+        device = open_store(device)
+    length, digest, block_list = _read_checkpoint_blocks(device)
+    payload = b"".join(device.read_many(block_list))[:length]
     if hashlib.sha256(payload).digest() != digest:
         raise FSError("filesystem metadata checksum mismatch")
 
     fs = FFS.__new__(FFS)  # bypass mkfs: we restore state instead
     fs.device = device
     fs.block_size = device.block_size
-    from repro.fs.inode import InodeTable
-
     fs._inodes = InodeTable()
     fs._next_block = 1
     fs._free_blocks = []

@@ -3,12 +3,12 @@
 The block layer under FFS is chosen by URI — or, since the typed-spec
 redesign, by a programmatic :mod:`~repro.storage.spec` builder::
 
-    from repro.storage import open_device, open_store
+    from repro.storage import open_store
     from repro.storage.spec import shard, remote
 
-    device = open_device("sqlite:///var/lib/discfs.db")
-    store = open_store(shard(remote("h1:9001"), remote("h2:9001"),
-                             fanout=4))
+    local = open_store("sqlite:///var/lib/discfs.db")
+    ring = open_store(shard(remote("h1:9001"), remote("h2:9001"),
+                            fanout=4))
 
 Backends compose: ``cached://shard://4#capacity=512`` is a write-back
 LRU in front of four consistent-hashed memory shards, and
@@ -24,7 +24,6 @@ with per-node capabilities and stats, and :func:`reshard` migrates a
 consistent-hash owner changed.
 """
 
-from repro.storage.adapter import StoreBlockDevice
 from repro.storage.auth import (
     AuditLog,
     StoreAuthGate,
@@ -64,7 +63,6 @@ from repro.storage.net import (
 from repro.storage.registry import (
     DEFAULT_NUM_BLOCKS,
     build,
-    open_device,
     open_store,
     register_scheme,
     registered_schemes,
@@ -108,7 +106,6 @@ __all__ = [
     "SpecError",
     "SpecTree",
     "StoreAuthGate",
-    "StoreBlockDevice",
     "StoreServer",
     "StoreSpec",
     "StoreStats",
@@ -120,7 +117,6 @@ __all__ = [
     "issue_store_credential",
     "iter_stores",
     "latency_usage",
-    "open_device",
     "open_store",
     "parse_spec",
     "register_scheme",

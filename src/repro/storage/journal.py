@@ -32,7 +32,7 @@ Costs and amortization:
   time after a crash.
 
 ``discfs journal-inspect`` dumps and verifies a log via
-:func:`inspect_journal`.  :class:`~repro.fs.blockdev.BlockDeviceStats`
+:func:`inspect_journal`.  :class:`~repro.storage.base.BlockDeviceStats`
 grew an ``fsyncs`` counter so the journal ablation
 (``benchmarks/test_ablation_journal.py``) can report what the log costs
 next to what it buys.

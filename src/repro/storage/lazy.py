@@ -29,8 +29,7 @@ import threading
 import time
 
 from repro.errors import InvalidArgument, StoreUnavailable
-from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
-from repro.storage.base import BlockStore
+from repro.storage.base import DEFAULT_BLOCK_SIZE, BlockStore
 
 #: Seconds to wait after a failed open before trying the child again.
 DEFAULT_RETRY_INTERVAL = 1.0

@@ -10,9 +10,9 @@ The registry is now a thin two-stage pipeline over the typed spec layer
    :class:`~repro.storage.base.BlockStore` — one builder per spec type,
    each a few lines, because all string plumbing already happened.
 
-``open_store``/``open_device`` accept either form (URI string or spec
-object), so callers can keep their ``--backend <uri>`` flags while
-programmatic topologies use the builder API::
+``open_store`` accepts either form (URI string or spec object), so
+callers can keep their ``--backend <uri>`` flags while programmatic
+topologies use the builder API::
 
     from repro.storage.spec import shard, remote
     store = open_store(shard(remote("h1:9001"), remote("h2:9001"),
@@ -110,9 +110,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import InvalidArgument, StoreUnavailable
-from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
 from repro.storage import spec as specs
-from repro.storage.base import BlockStore
+from repro.storage.base import DEFAULT_BLOCK_SIZE, BlockStore
 from repro.storage.cache import DEFAULT_CAPACITY, CachedBlockStore
 from repro.storage.filestore import FileBlockStore
 from repro.storage.memory import MemoryBlockStore
@@ -215,33 +214,6 @@ def open_store(
 ) -> BlockStore:
     """Resolve a backend URI (or spec) to a live :class:`BlockStore`."""
     return build(uri, num_blocks=num_blocks, block_size=block_size)
-
-
-def open_device(
-    uri: SpecLike,
-    *,
-    num_blocks: int = DEFAULT_NUM_BLOCKS,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-):
-    """Resolve a backend URI to a ``BlockDevice``-compatible adapter.
-
-    This is the constructor the fs/nfs/cli layers use: existing callers
-    keep the ``BlockDevice`` API while the storage stack underneath is
-    chosen by URI.
-    """
-    from repro.storage.adapter import StoreBlockDevice
-
-    spec = parse_spec(uri)
-    try:
-        canonical: str | None = spec.to_uri()
-    except specs.SpecError:
-        canonical = None  # programmatic-only topology: no URI form
-    store = build(spec, num_blocks=num_blocks, block_size=block_size)
-    try:
-        return StoreBlockDevice(store, uri=canonical)
-    except Exception:
-        store.close()
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +495,6 @@ _BUILDERS.update({
 __all__ = [
     "DEFAULT_NUM_BLOCKS",
     "build",
-    "open_device",
     "open_store",
     "register_scheme",
     "registered_schemes",

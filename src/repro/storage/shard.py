@@ -18,7 +18,7 @@ instead of the sum of every child's (``fanout=1`` restores the
 sequential loop; the fanout ablation measures the difference).  Results
 are position-aligned either way, so concurrency never changes answers.
 
-Each child keeps its own :class:`~repro.fs.blockdev.BlockDeviceStats`, so
+Each child keeps its own :class:`~repro.storage.base.BlockDeviceStats`, so
 benchmarks can report per-shard traffic and verify balance.
 """
 

@@ -9,7 +9,7 @@ from repro.bench.search import run_search
 from repro.bench.targets import LocalFFSTarget
 from repro.bench.timing import QUANTUM_FIREBALL_CT10, DiskModel, MeasuredTime
 from repro.bench.workloads import SourceTreeSpec, generate_source_tree
-from repro.fs.blockdev import BlockDeviceStats
+from repro.storage.base import BlockDeviceStats
 from repro.fs.ffs import FFS
 
 SMALL = 64 * 1024  # 64 KiB keeps test wall time low

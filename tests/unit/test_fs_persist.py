@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import FSError, InvalidArgument
-from repro.fs.blockdev import FileBlockDevice, MemoryBlockDevice
 from repro.fs.ffs import FFS
-from repro.fs.persist import load, sync
+from repro.fs.persist import _SUPER, MAGIC, load, sync
+from repro.storage import FileBlockStore, MemoryBlockStore
 
 
 def populate(fs):
@@ -20,7 +20,7 @@ def populate(fs):
 
 class TestRoundtrip:
     def test_memory_device_roundtrip(self):
-        device = MemoryBlockDevice(num_blocks=2048)
+        device = MemoryBlockStore(num_blocks=2048)
         fs = FFS(device)
         populate(fs)
         sync(fs)
@@ -34,18 +34,18 @@ class TestRoundtrip:
 
     def test_file_device_survives_reopen(self, tmp_path):
         path = str(tmp_path / "disk.img")
-        with FileBlockDevice(path, num_blocks=2048) as device:
+        with FileBlockStore(path, num_blocks=2048) as device:
             fs = FFS(device)
             populate(fs)
             sync(fs)
-        with FileBlockDevice(path, num_blocks=2048) as device:
+        with FileBlockStore(path, num_blocks=2048) as device:
             restored = load(device)
             assert restored.read_file("/a/b/deep.txt") == b"deep content"
             names = {n for n, _ in restored.readdir(restored.root_ino)}
             assert {"a", "top.bin", "ln", "hard.bin"} <= names
 
     def test_generations_survive(self):
-        device = MemoryBlockDevice(num_blocks=2048)
+        device = MemoryBlockStore(num_blocks=2048)
         fs = FFS(device)
         f = fs.create(fs.root_ino, "victim")
         ino, gen = f.ino, f.generation
@@ -57,7 +57,7 @@ class TestRoundtrip:
             assert recycled.generation > gen  # generation counter persisted
 
     def test_allocator_state_survives(self):
-        device = MemoryBlockDevice(num_blocks=64)
+        device = MemoryBlockStore(num_blocks=64)
         fs = FFS(device)
         fs.write_file("/f", b"x" * (10 * fs.block_size))
         free_before = fs.free_block_count()
@@ -70,7 +70,7 @@ class TestRoundtrip:
         assert free_before >= restored.free_block_count()
 
     def test_continued_use_after_restore(self):
-        device = MemoryBlockDevice(num_blocks=2048)
+        device = MemoryBlockStore(num_blocks=2048)
         fs = FFS(device)
         populate(fs)
         sync(fs)
@@ -84,7 +84,7 @@ class TestRoundtrip:
         """Checkpoints are double-buffered: the old one's blocks are not
         reused until the new superblock is durable, so after a one-time
         settling sync the free count is constant forever."""
-        device = MemoryBlockDevice(num_blocks=256)
+        device = MemoryBlockStore(num_blocks=256)
         fs = FFS(device)
         fs.write_file("/f", b"data")
         sync(fs)
@@ -100,26 +100,39 @@ class TestRoundtrip:
 class TestFailureModes:
     def test_load_uncheckpointed_device(self):
         with pytest.raises(InvalidArgument):
-            load(MemoryBlockDevice(num_blocks=64))
+            load(MemoryBlockStore(num_blocks=64))
 
     def test_corrupted_metadata_detected(self):
-        device = MemoryBlockDevice(num_blocks=2048)
+        device = MemoryBlockStore(num_blocks=2048)
         fs = FFS(device)
         populate(fs)
         sync(fs)
         # Find a metadata block via the superblock and corrupt it.
         from repro.fs.persist import _read_checkpoint_blocks
 
-        block = _read_checkpoint_blocks(device)[0]
-        raw = bytearray(device.read_block(block))
+        _length, _digest, block_list = _read_checkpoint_blocks(device)
+        block = block_list[0]
+        raw = bytearray(device.read(block))
         raw[10] ^= 0xFF
-        device.write_block(block, bytes(raw))
+        device.write(block, bytes(raw))
         with pytest.raises(FSError):
             load(device)
 
+    def test_corrupt_superblock_count_is_an_fs_error(self):
+        """A superblock with the magic but a block count that overruns
+        block 0 is rejected as corrupt, and the next sync replaces it."""
+        device = MemoryBlockStore(num_blocks=256, block_size=512)
+        fs = FFS(device)
+        fs.write_file("/a.txt", b"v1")
+        device.write(0, _SUPER.pack(MAGIC, 0, 1000, bytes(32)))
+        with pytest.raises(FSError):
+            load(device)
+        sync(fs)
+        assert load(device).read_file("/a.txt") == b"v1"
+
     def test_dirty_changes_lost_without_sync(self):
         """Checkpoint (not journal) semantics, as documented."""
-        device = MemoryBlockDevice(num_blocks=2048)
+        device = MemoryBlockStore(num_blocks=2048)
         fs = FFS(device)
         fs.write_file("/committed", b"saved")
         sync(fs)
@@ -139,23 +152,23 @@ class TestCrashWindows:
     mid-sync corrupted the only checkpoint the device had."""
 
     def test_crash_before_superblock_update_keeps_old_checkpoint(self):
-        device = MemoryBlockDevice(num_blocks=256)
+        device = MemoryBlockStore(num_blocks=256)
         fs = FFS(device)
         fs.write_file("/keep.txt", b"checkpointed")
         sync(fs)
         fs.write_file("/more.txt", b"since the checkpoint")
 
-        real_write = device.write_block
+        real_write = device.write
 
         def crash_on_superblock(block_no, data):
             if block_no == 0:
                 raise RuntimeError("simulated crash before commit point")
             return real_write(block_no, data)
 
-        device.write_block = crash_on_superblock
+        device.write = crash_on_superblock
         with pytest.raises(RuntimeError):
             sync(fs)
-        device.write_block = real_write
+        device.write = real_write
 
         restored = load(device)  # the old checkpoint is fully intact
         assert restored.read_file("/keep.txt") == b"checkpointed"
@@ -163,22 +176,22 @@ class TestCrashWindows:
     def test_interrupted_sync_then_successful_sync_recovers(self):
         """After a failed sync the filesystem must still checkpoint
         cleanly (no double-released blocks, no corrupted free list)."""
-        device = MemoryBlockDevice(num_blocks=256)
+        device = MemoryBlockStore(num_blocks=256)
         fs = FFS(device)
         fs.write_file("/a.txt", b"v1")
         sync(fs)
 
-        real_write = device.write_block
+        real_write = device.write
 
         def crash_on_superblock(block_no, data):
             if block_no == 0:
                 raise RuntimeError("crash")
             return real_write(block_no, data)
 
-        device.write_block = crash_on_superblock
+        device.write = crash_on_superblock
         with pytest.raises(RuntimeError):
             sync(fs)
-        device.write_block = real_write
+        device.write = real_write
 
         fs.write_file("/b.txt", b"v2")
         sync(fs)
@@ -191,7 +204,7 @@ class TestCrashWindows:
         """The serialized allocator state predates the checkpoint's own
         blocks; load must quarantine them or post-restore writes can
         overwrite the only checkpoint before the next sync."""
-        device = MemoryBlockDevice(num_blocks=2048)
+        device = MemoryBlockStore(num_blocks=2048)
         fs = FFS(device)
         fs.write_file("/base.txt", b"v1")
         sync(fs)
@@ -216,7 +229,7 @@ class TestServerRestart:
         from repro.core.server import DisCFSServer
 
         path = str(tmp_path / "server.img")
-        with FileBlockDevice(path, num_blocks=2048) as device:
+        with FileBlockStore(path, num_blocks=2048) as device:
             fs = FFS(device)
             server = DisCFSServer(admin_identity=administrator.identity, fs=fs)
             administrator.trust_server(server)
@@ -227,7 +240,7 @@ class TestServerRestart:
                 scheme=server.handle_scheme, subtree=True)
             sync(fs)
 
-        with FileBlockDevice(path, num_blocks=2048) as device:
+        with FileBlockStore(path, num_blocks=2048) as device:
             fs2 = load(device)
             server2 = DisCFSServer(admin_identity=administrator.identity, fs=fs2)
             administrator.trust_server(server2)

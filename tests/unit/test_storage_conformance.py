@@ -15,17 +15,16 @@ import threading
 import pytest
 
 from repro.errors import InvalidArgument, NoSpace
-from repro.fs.blockdev import BlockDeviceStats
 from repro.fs.ffs import FFS
 from repro.fs import persist
 from repro.storage import (
     CachedBlockStore,
     ShardedBlockStore,
-    open_device,
     open_store,
     registered_schemes,
     split_uri,
 )
+from repro.storage.base import BlockDeviceStats
 
 BLOCKS = 64
 BS = 512
@@ -219,18 +218,12 @@ class TestConformance:
 
     def test_ffs_runs_on_backend(self, store):
         """The whole filesystem stack works over every backend."""
-        fs = FFS(open_device_like(store))
+        fs = FFS(store)
         fs.write_file("/hello.txt", b"hello backend")
         fs.makedirs("/a/b")
         fs.write_file("/a/b/deep.txt", b"nested")
         assert fs.read_file("/hello.txt") == b"hello backend"
         assert fs.read_file("/a/b/deep.txt") == b"nested"
-
-
-def open_device_like(store):
-    from repro.storage import StoreBlockDevice
-
-    return StoreBlockDevice(store)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +254,6 @@ class TestRegistry:
     def test_geometry_query_overrides(self):
         s = open_store("mem://?blocks=7&bs=1024")
         assert (s.num_blocks, s.block_size) == (7, 1024)
-
-    def test_open_device_adapter(self):
-        dev = open_device("mem://", num_blocks=BLOCKS, block_size=BS)
-        dev.write_block(1, b"via device")
-        assert dev.read_block(1).startswith(b"via device")
-        assert dev.stats.reads == 1 and dev.stats.writes == 1
-        # The wrapped store counts the same physical traffic.
-        assert dev.store.stats.reads == 1 and dev.store.stats.writes == 1
 
     def test_shard_count_form_and_explicit_children_agree(self):
         by_count = open_store("shard://3", num_blocks=BLOCKS, block_size=BS)

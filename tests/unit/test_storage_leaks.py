@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InvalidArgument
-from repro.storage import MemoryBlockStore, open_device, parse_spec
+from repro.storage import MemoryBlockStore, parse_spec
 from repro.storage.registry import build
 
 BLOCKS = 64
@@ -70,13 +70,4 @@ class TestBuilderFailureClosesChildren:
         with pytest.raises(_Boom):
             build(parse_spec("slow://mem://"),
                   num_blocks=BLOCKS, block_size=BS)
-        assert len(closed_stores) == 1
-
-    def test_open_device_adapter_failure_closes_store(
-            self, closed_stores, monkeypatch):
-        monkeypatch.setattr(
-            "repro.storage.adapter.StoreBlockDevice", _raising
-        )
-        with pytest.raises(_Boom):
-            open_device("mem://", num_blocks=BLOCKS, block_size=BS)
         assert len(closed_stores) == 1

@@ -530,11 +530,9 @@ class TestFilesystemOnJournal:
     def test_checkpointed_fs_survives_abandon(self, tmp_path):
         from repro.fs import persist
         from repro.fs.ffs import FFS
-        from repro.storage import StoreBlockDevice
-
         uri = f"journal://file://{tmp_path}/fs.img"
         store = open_store(uri, num_blocks=2048)
-        fs = FFS(StoreBlockDevice(store, uri=uri))
+        fs = FFS(store)
         fs.write_file("/durable.txt", b"acknowledged and journaled")
         persist.sync(fs)   # flushes -> checkpoint + truncate
         fs.write_file("/extra.txt", b"journaled but not checkpointed")

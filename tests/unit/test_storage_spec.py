@@ -360,17 +360,6 @@ class TestProgrammaticOnlyTopologies:
         finally:
             store.close()
 
-    def test_open_device_tolerates_missing_uri_form(self):
-        from repro.storage import open_device
-
-        device = open_device(self._nested(), num_blocks=64, block_size=512)
-        try:
-            assert device.uri is None  # no canonical URI to record
-            device.write_block(1, b"adapted")
-            assert device.read_block(1).startswith(b"adapted")
-        finally:
-            device.close()
-
     def test_replica_lazy_wraps_unrepresentable_down_child(self):
         """A down child whose spec has no URI form must still become a
         lazy wrapper (holding the spec object) instead of failing the
