@@ -48,7 +48,13 @@ class FFS:
         # A string is a storage-backend URI ("mem://", "sqlite:///fs.db",
         # "cached://shard://4", ...) resolved through repro.storage.
         if isinstance(device, str):
-            device = open_store(device)
+            store = open_store(device)
+            try:
+                self.__init__(store)
+            except Exception:
+                store.close()  # we opened it; don't strand it on failure
+                raise
+            return
         self.device = device if device is not None else MemoryBlockStore()
         self.block_size = self.device.block_size
         self._inodes = InodeTable()

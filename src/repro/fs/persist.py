@@ -218,7 +218,12 @@ def load(device: BlockStore | str) -> FFS:
     ``shard://...``); it is resolved through the storage registry.
     """
     if isinstance(device, str):
-        device = open_store(device)
+        store = open_store(device)
+        try:
+            return load(store)
+        except Exception:
+            store.close()  # we opened it; don't strand it on failure
+            raise
     length, digest, block_list = _read_checkpoint_blocks(device)
     payload = b"".join(device.read_many(block_list))[:length]
     if hashlib.sha256(payload).digest() != digest:

@@ -1,20 +1,9 @@
-"""Unit tests for the block-store layer under FFS.
-
-The read/write contract (round trip, zero reads, padding, oversize and
-out-of-range rejection, capacity, stats counting) is checked for every
-scheme in ``test_storage_conformance.py``; these are the behaviours it
-does not pin, plus the layering rule that keeps the store layer below
-the filesystem.
-"""
+"""The layering rule that keeps the block-store layer below FFS."""
 
 import ast
 from pathlib import Path
 
-import pytest
-
 import repro.storage
-from repro.errors import InvalidArgument
-from repro.storage import FileBlockStore, MemoryBlockStore
 
 #: Packages above the block layer; ``repro.storage`` must not import them.
 _UPPER_LAYERS = ("repro.fs", "repro.nfs", "repro.cfs", "repro.core")
@@ -42,46 +31,3 @@ def test_storage_imports_no_upper_layer():
     ]
     assert offenders == []
 
-
-class TestMemoryBlockStore:
-    def test_constructor_validation(self):
-        with pytest.raises(InvalidArgument):
-            MemoryBlockStore(num_blocks=0)
-        with pytest.raises(InvalidArgument):
-            MemoryBlockStore(num_blocks=4, block_size=100)  # not 512-multiple
-
-    def test_used_blocks(self):
-        store = MemoryBlockStore(num_blocks=16, block_size=512)
-        assert store.used_blocks() == 0
-        store.write(1, b"a")
-        store.write(2, b"b")
-        store.write(1, b"c")
-        assert store.used_blocks() == 2
-
-
-class TestStats:
-    def test_seek_detection(self):
-        store = MemoryBlockStore(num_blocks=16, block_size=512)
-        for b in (0, 1, 2):  # fully sequential from the start position
-            store.write(b, b"x")
-        assert store.stats.seeks == 0
-        store.write(9, b"x")  # jump
-        assert store.stats.seeks == 1
-        store.write(10, b"x")  # sequential again
-        assert store.stats.seeks == 1
-
-    def test_reset(self):
-        store = MemoryBlockStore(num_blocks=4, block_size=512)
-        store.write(0, b"a")
-        store.stats.reset()
-        assert store.stats.writes == 0
-        assert store.stats.bytes_written == 0
-
-
-class TestFileBlockStore:
-    def test_persistence_across_reopen(self, tmp_path):
-        path = str(tmp_path / "disk.img")
-        with FileBlockStore(path, num_blocks=8, block_size=512) as store:
-            store.write(5, b"persist me")
-        with FileBlockStore(path, num_blocks=8, block_size=512) as store:
-            assert store.read(5).startswith(b"persist me")

@@ -255,6 +255,15 @@ class TestRegistry:
         s = open_store("mem://?blocks=7&bs=1024")
         assert (s.num_blocks, s.block_size) == (7, 1024)
 
+    def test_ffs_mounts_uri_store(self):
+        fs = FFS("mem://?blocks=7&bs=1024")
+        assert (fs.device.num_blocks, fs.block_size) == (7, 1024)
+        fs.device.stats.reset()
+        fs.write_file("/via-uri.txt", b"via uri")
+        assert fs.read_file("/via-uri.txt") == b"via uri"
+        # FFS does its block I/O on the store itself: one set of counters.
+        assert fs.device.stats.writes >= 1
+
     def test_shard_count_form_and_explicit_children_agree(self):
         by_count = open_store("shard://3", num_blocks=BLOCKS, block_size=BS)
         explicit = open_store(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import InvalidArgument
+from repro.errors import FSError, InvalidArgument, NoSpace
+from repro.fs import persist
+from repro.fs.ffs import FFS
 from repro.storage import MemoryBlockStore, parse_spec
 from repro.storage.registry import build
 
@@ -70,4 +72,17 @@ class TestBuilderFailureClosesChildren:
         with pytest.raises(_Boom):
             build(parse_spec("slow://mem://"),
                   num_blocks=BLOCKS, block_size=BS)
+        assert len(closed_stores) == 1
+
+    def test_ffs_uri_mount_failure_closes_store(self, closed_stores):
+        # One block is all superblock: formatting the root directory
+        # fails after FFS opened the store from the URI.
+        with pytest.raises(NoSpace):
+            FFS("mem://?blocks=1")
+        assert len(closed_stores) == 1
+
+    def test_persist_load_failure_closes_uri_store(self, closed_stores):
+        # A fresh store holds no checkpoint, so load fails after opening it.
+        with pytest.raises(FSError):
+            persist.load("mem://")
         assert len(closed_stores) == 1

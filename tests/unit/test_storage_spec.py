@@ -343,7 +343,7 @@ class TestSchemeRegistry:
 
 class TestProgrammaticOnlyTopologies:
     """Specs with no URI form (nested multi-child composites) must
-    still open, adapt to devices, and degrade lazily."""
+    still open, mount under FFS, and degrade lazily."""
 
     def _nested(self):
         return specs.replica(
@@ -357,6 +357,17 @@ class TestProgrammaticOnlyTopologies:
         try:
             store.write(5, b"no uri form")
             assert store.read(5).startswith(b"no uri form")
+        finally:
+            store.close()
+
+    def test_ffs_mounts_unrepresentable_spec(self):
+        from repro.fs.ffs import FFS
+
+        store = open_store(self._nested(), num_blocks=64, block_size=512)
+        try:
+            fs = FFS(store)
+            fs.write_file("/mounted.txt", b"no uri form")
+            assert fs.read_file("/mounted.txt") == b"no uri form"
         finally:
             store.close()
 
